@@ -1,14 +1,15 @@
 """Architectural checkpoints — the Spike stage of the paper's flow.
 
 A checkpoint captures the complete architectural state of the hart at a
-SimPoint boundary: PC, the 32 integer and 32 FP registers, ``fcsr``, and
-every touched memory page.  Loading one into the detailed core (with a
+SimPoint boundary: PC, the 32 integer and 32 FP registers, ``fcsr``,
+whether the hart has exited, and every touched memory page.  Loading one into the detailed core (with a
 warm-up allowance for the cold caches and branch predictor, §IV-A of the
 paper) reproduces execution from that point exactly.
 
 Checkpoints serialize to a compact binary format (magic, header, register
-block, zlib-compressed page table) so they can be written to disk like the
-paper's Spike-generated checkpoints.
+block, zlib-compressed page table, flags) so they can be written to disk
+like the paper's Spike-generated checkpoints.  Version 1 blobs, which
+predate the flags byte, still load (as a running hart).
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from repro.sim.memory import Memory, PAGE_SIZE
 from repro.sim.state import ArchState
 
 _MAGIC = b"RVCK"
-_VERSION = 1
+_VERSION = 2
+_VERSIONS = (1, 2)
+#: flags-byte bits (version 2 on)
+_EXITED = 1
 
 
 @dataclass
@@ -45,6 +49,8 @@ class Checkpoint:
     fregs_bits: list[int] = field(default_factory=lambda: [0] * 32)
     fcsr: int = 0
     pages: dict[int, bytes] = field(default_factory=dict)
+    #: the hart had executed its exit call when captured
+    exited: bool = False
 
     @classmethod
     def capture(cls, state: ArchState, workload: str, interval_index: int,
@@ -63,7 +69,8 @@ class Checkpoint:
                    xregs=list(state.x),
                    fregs_bits=fregs_bits,
                    fcsr=state.fcsr,
-                   pages=state.memory.snapshot_pages())
+                   pages=state.memory.snapshot_pages(),
+                   exited=state.exited)
 
     def restore(self) -> ArchState:
         """Materialize a fresh :class:`ArchState` from this checkpoint."""
@@ -78,6 +85,7 @@ class Checkpoint:
         state.pc = self.pc
         state.fcsr = self.fcsr
         state.retired = self.instruction_index
+        state.exited = self.exited
         return state
 
     # ------------------------------------------------------------------
@@ -108,8 +116,10 @@ class Checkpoint:
             page_blob += struct.pack("<Q", number)
             page_blob += page
         compressed = zlib.compress(bytes(page_blob), level=6)
+        flags = _EXITED if self.exited else 0
         return (header + name + registers
-                + struct.pack("<I", len(compressed)) + compressed)
+                + struct.pack("<I", len(compressed)) + compressed
+                + struct.pack("<B", flags))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
@@ -123,7 +133,7 @@ class Checkpoint:
             header_format, blob[:header_size])
         if magic != _MAGIC:
             raise CheckpointError("bad checkpoint magic")
-        if version != _VERSION:
+        if version not in _VERSIONS:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         offset = header_size
         name = blob[offset:offset + name_length].decode()
@@ -135,6 +145,12 @@ class Checkpoint:
         (compressed_length,) = struct.unpack("<I", blob[offset:offset + 4])
         offset += 4
         page_blob = zlib.decompress(blob[offset:offset + compressed_length])
+        offset += compressed_length
+        flags = 0
+        if version >= 2:
+            if len(blob) != offset + 1:
+                raise CheckpointError("corrupt flags in checkpoint")
+            flags = blob[offset]
         pages: dict[int, bytes] = {}
         stride = 8 + PAGE_SIZE
         if len(page_blob) != page_count * stride:
@@ -148,4 +164,5 @@ class Checkpoint:
                    warmup_instructions=warmup,
                    measure_instructions=None if measure < 0 else measure,
                    pc=pc, xregs=xregs,
-                   fregs_bits=fregs_bits, fcsr=fcsr, pages=pages)
+                   fregs_bits=fregs_bits, fcsr=fcsr, pages=pages,
+                   exited=bool(flags & _EXITED))

@@ -225,13 +225,15 @@ class SupervisedScheduler:
     # ------------------------------------------------------------------
 
     def run(self, tasks: list[Task],
-            on_result: Callable[[Task, Any], None] | None = None) \
+            on_result: Callable[[Task, Any], Any] | None = None) \
             -> ScheduleOutcome:
         """Run ``tasks`` to completion, surviving crashes and hangs.
 
         ``on_result`` is invoked in the parent as each task completes,
         which is what lets the sweep persist results incrementally (and
-        therefore resume after a kill).
+        therefore resume after a kill).  A task that completes with
+        failed parts returns their :class:`TaskRecord` list from
+        ``on_result``; they count as failures (and trip ``fail_fast``).
         """
         outcome = ScheduleOutcome()
         if not tasks:
@@ -344,7 +346,7 @@ class SupervisedScheduler:
     def _collect(self, done: list[Future], inflight: dict[Future, Task],
                  deadlines: dict[Future, float], queue: deque[Task],
                  attempts: dict[str, int], outcome: ScheduleOutcome,
-                 on_result: Callable[[Task, Any], None] | None) -> bool:
+                 on_result: Callable[[Task, Any], Any] | None) -> bool:
         """Process finished futures; returns whether the pool broke."""
         crashed = False
         delays: list[float] = []
@@ -379,7 +381,7 @@ class SupervisedScheduler:
                 get_metrics().counter("scheduler.completed").inc()
                 outcome.results[task.key] = result
                 if on_result is not None:
-                    on_result(task, result)
+                    outcome.failures.extend(on_result(task, result) or ())
         delays = [delay for delay in delays if delay > 0]
         if delays:
             self._sleep(max(delays))

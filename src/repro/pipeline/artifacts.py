@@ -375,7 +375,8 @@ class ArtifactStore:
                    encode: Callable[[Any], Any] | None = None,
                    decode: Callable[[Any], Any] | None = None,
                    fallback: Callable[[], Any] | None = None,
-                   label: str | None = None) -> Any:
+                   label: str | None = None,
+                   seconds: float = 0.0) -> Any:
         """Load-or-compute one JSON artifact, with full accounting.
 
         ``fallback`` (optional) is consulted after a cache miss but
@@ -386,6 +387,10 @@ class ArtifactStore:
         exactly one process executes ``compute`` for a given
         fingerprint; concurrent callers block on the winner's artifact
         (``lease.dedupe``) instead of duplicating the work.
+
+        ``seconds`` is host time already spent on the value outside
+        ``compute`` (a pass shared by several artifacts); it is charged
+        to the stage along with ``compute``'s own time.
         """
         value = self.peek_json(stage, fingerprint, decode=decode,
                                label=label)
@@ -402,7 +407,8 @@ class ArtifactStore:
         if lease is None:  # a peer computed it while we waited
             return value
         try:
-            value = self._execute(stage, fingerprint, compute, label)
+            value = self._execute(stage, fingerprint, compute, label,
+                                  seconds)
             self.put_json(stage, fingerprint, value, encode=encode)
         finally:
             lease.release()
@@ -486,7 +492,8 @@ class ArtifactStore:
                            fingerprint=fingerprint, seconds=waited)
 
     def _execute(self, stage: str, fingerprint: str,
-                 compute: Callable[[], Any], label: str | None) -> Any:
+                 compute: Callable[[], Any], label: str | None,
+                 seconds: float = 0.0) -> Any:
         """Run one stage compute with miss/execution/timing accounting."""
         self._stats[stage].misses += 1
         self._observe("miss", stage, fingerprint, label=label)
@@ -498,7 +505,7 @@ class ArtifactStore:
             value = compute()
         stats = self._stats[stage]
         stats.executions += 1
-        elapsed = perf_counter() - started
+        elapsed = perf_counter() - started + seconds
         stats.seconds += elapsed
         get_metrics().histogram(f"stage.{stage}.seconds").observe(elapsed)
         return value

@@ -28,18 +28,23 @@ every downstream address and can never serve a stale artifact.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from time import perf_counter
+from typing import Any, Iterable
 
 import numpy as np
 
+from repro.check import checks_enabled
+from repro.check.invariants import CoreInvariantChecker
 from repro.check.validators import require_valid_result
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.checkpoint.creator import create_checkpoints
 from repro.checkpoint.store import load_checkpoints, save_checkpoints
-from repro.errors import CorruptArtifactError
+from repro.errors import CorruptArtifactError, SweepInterrupted
+from repro.obs.flight import FlightRecorder
+from repro.obs.heartbeat import HeartbeatEmitter
+from repro.obs.tracer import get_tracer
 from repro.pipeline.artifacts import ArtifactStore, MODEL_VERSION
-from repro.sim.batch import simulate_checkpoint, simulate_raw_runs_batched
 
 # NOTE: repro.flow.results is imported lazily inside the functions that
 # need it.  Importing it at module level would execute repro.flow's
@@ -57,6 +62,8 @@ from repro.simpoint.simpoints import (
     select_simpoints,
 )
 from repro.uarch.config import BoomConfig
+from repro.uarch.core import BoomCore
+from repro.uarch.ftrace import FetchTrace
 from repro.uarch.stats import CoreStats
 from repro.workloads.suite import build_program, get_workload
 
@@ -200,21 +207,129 @@ def compute_checkpoints(workload: str, settings,
                               warmup=settings.scaled_warmup())
 
 
-def simulate_raw_runs(config: BoomConfig, program,
-                      checkpoints: list[Checkpoint],
-                      interval_size: int) -> list[dict]:
-    """Stage 4: restore each checkpoint into the detailed core.
+def simulate_checkpoint(config: BoomConfig, program,
+                        checkpoint: Checkpoint, interval_size: int,
+                        trace: FetchTrace) -> dict:
+    """Run one checkpoint through the detailed core; the raw record.
 
-    Returns plain-dict records — the "signal trace" artifact — carrying
-    the complete measured :class:`CoreStats` so the power stage can be
-    recomputed (or re-calibrated) without re-running the detailed core.
-    The per-checkpoint body lives in
-    :func:`repro.sim.batch.simulate_checkpoint`, shared with the batched
-    multi-config engine so the two paths cannot drift.
+    ``trace`` is the checkpoint's fetch trace, shared by every config
+    that replays it.
     """
-    return [simulate_checkpoint(config, program, checkpoint,
-                                interval_size)
-            for checkpoint in checkpoints]
+    tracer = get_tracer()
+    heartbeat = None
+    emitter = None
+    if tracer.enabled:
+        window_hint = checkpoint.measure_instructions or interval_size
+        emitter = HeartbeatEmitter(
+            tracer, "core.instr", units="instructions",
+            total=checkpoint.warmup_instructions + window_hint,
+            workload=program.name, config=config.name,
+            checkpoint=checkpoint.interval_index)
+        heartbeat = lambda retired, cycles: emitter(retired,
+                                                    cycles=cycles)
+    with tracer.span("detailed_sim.checkpoint",
+                     workload=program.name, config=config.name,
+                     checkpoint=checkpoint.interval_index):
+        core = BoomCore(config, program, trace=trace)
+        # The flight recorder and invariant checker both ride the
+        # heartbeat observer slot (each chaining whatever was there
+        # before), so a recorded/checked run takes the same loop as a
+        # traced one and produces byte-identical artifacts —
+        # REPRO_FLIGHT and REPRO_CHECK are deliberately not part of
+        # the stage fingerprint.
+        recorder = FlightRecorder.for_session(
+            core, workload=program.name,
+            checkpoint=checkpoint.interval_index, wrapped=heartbeat)
+        if recorder is not None:
+            heartbeat = recorder
+        checker = None
+        if checks_enabled():
+            checker = CoreInvariantChecker(core, wrapped=heartbeat)
+            heartbeat = checker
+        if checkpoint.warmup_instructions:
+            core.run(checkpoint.warmup_instructions,
+                     heartbeat=heartbeat)
+        if recorder is not None:
+            # Closes the warmup phase with a boundary sample *before*
+            # the stats window swaps, so the warmup tail is captured.
+            recorder.set_phase("measure")
+        stats = core.begin_measurement()
+        window = checkpoint.measure_instructions or interval_size
+        measured = core.run(window, heartbeat=heartbeat)
+        if checker is not None:
+            checker.check()
+        if recorder is not None:
+            recorder.finish()
+    if emitter is not None:
+        emitter.finish(checkpoint.warmup_instructions + measured)
+    return {
+        "interval_index": checkpoint.interval_index,
+        "weight": checkpoint.weight,
+        "warmup_instructions": checkpoint.warmup_instructions,
+        "measured_instructions": measured,
+        "stats": stats.to_dict(),
+    }
+
+
+@dataclass
+class ConfigRun:
+    """One config's share of a checkpoint-major stage-4 pass."""
+
+    records: list[dict] = field(default_factory=list)
+    error: Exception | None = None
+    #: host time of this config's own :func:`simulate_checkpoint` calls
+    seconds: float = 0.0
+
+    def unwrap(self) -> list[dict]:
+        """The records, or the config's error raised."""
+        if self.error is not None:
+            raise self.error
+        return self.records
+
+
+def simulate_raw_runs(configs: Iterable[BoomConfig], program,
+                      checkpoints: list[Checkpoint],
+                      interval_size: int) -> dict[str, ConfigRun]:
+    """Stage 4: every checkpoint through the detailed core, per config.
+
+    Checkpoint-major: each checkpoint's state is restored once into a
+    :class:`FetchTrace` that every config replays, then the trace is
+    dropped, so one trace is live at a time and the functional work is
+    done once for all configs.  A single config is a batch of one.
+
+    Returns a :class:`ConfigRun` per config name holding plain-dict
+    records — the "signal trace" artifact — carrying the complete
+    measured :class:`CoreStats`, so the power stage can be recomputed
+    (or re-calibrated) without re-running the detailed core.  A config
+    whose simulation raises is dropped from the remaining checkpoints
+    and keeps the error; the others finish.
+    """
+    configs = tuple(configs)
+    names = [config.name for config in configs]
+    if len(set(names)) != len(names):
+        raise ValueError("stage-4 configs must have unique names "
+                         "(records are keyed by name)")
+    runs = {name: ConfigRun() for name in names}
+    live = list(configs)
+    for checkpoint in checkpoints:
+        if not live:
+            break
+        trace = FetchTrace(program, checkpoint.restore())
+        for config in tuple(live):
+            run = runs[config.name]
+            started = perf_counter()
+            try:
+                run.records.append(simulate_checkpoint(
+                    config, program, checkpoint, interval_size, trace))
+            except SweepInterrupted:
+                raise
+            except Exception as exc:
+                run.error = exc
+                live.remove(config)
+            finally:
+                run.seconds += perf_counter() - started
+        del trace  # before the next restore: one trace live at a time
+    return runs
 
 
 def power_runs_from_raw(raw: list[dict], config: BoomConfig,
@@ -367,17 +482,63 @@ class ExperimentPipeline:
             save=save_checkpoints, load=load_checkpoints,
             label=workload)
 
+    def _interval(self, workload: str) -> int:
+        return get_workload(workload).interval_for_scale(self.settings.scale)
+
     def detailed(self, workload: str, config: BoomConfig) -> list[dict]:
         def compute() -> list[dict]:
-            settings = self.settings
-            interval = get_workload(workload) \
-                .interval_for_scale(settings.scale)
-            return simulate_raw_runs(config, self.program(workload),
-                                     self.checkpoints(workload), interval)
+            runs = simulate_raw_runs(
+                [config], self.program(workload),
+                self.checkpoints(workload), self._interval(workload))
+            return runs[config.name].unwrap()
 
         return self.store.fetch_json(
             DETAILED_STAGE, self.detailed_fingerprint(workload, config),
             compute=compute, label=f"{workload}/{config.name}")
+
+    def simulate_workload(self, workload: str,
+                          configs: list[BoomConfig]) \
+            -> dict[str, Exception]:
+        """Materialize ``detailed_sim`` for many configs in one pass.
+
+        Every config with neither its result nor its detailed artifact
+        stored joins one checkpoint-major pass (:func:`simulate_raw_runs`),
+        so the workload's checkpoints are replayed once for all of them.
+        Each config's records persist under its ordinary stage
+        fingerprint, so a later :meth:`detailed` call is a cache hit.
+        Failures are isolated per config and returned by config name: an
+        upstream stage failure is every config's error.
+        """
+        store = self.store
+        missing = [config for config in configs
+                   if not store.has(DETAILED_STAGE, self.detailed_fingerprint(
+                       workload, config))
+                   and not store.has(RESULT_STAGE, self.result_fingerprint(
+                       workload, config))]
+        if not missing:
+            return {}
+        try:
+            runs = simulate_raw_runs(
+                missing, self.program(workload), self.checkpoints(workload),
+                self._interval(workload))
+        except SweepInterrupted:
+            raise
+        except Exception as exc:  # upstream or restore: every config's
+            return {config.name: exc for config in missing}
+        errors: dict[str, Exception] = {}
+        for config in missing:
+            run = runs[config.name]
+            try:
+                store.fetch_json(
+                    DETAILED_STAGE, self.detailed_fingerprint(workload,
+                                                              config),
+                    compute=run.unwrap, seconds=run.seconds,
+                    label=f"{workload}/{config.name}")
+            except SweepInterrupted:
+                raise
+            except Exception as exc:
+                errors[config.name] = exc
+        return errors
 
     def power_runs(self, workload: str,
                    config: BoomConfig) -> list[SimPointRun]:
@@ -430,43 +591,6 @@ class ExperimentPipeline:
         checkpoints) — the unit of per-workload parallel fan-out."""
         self.selection(workload)
         self.checkpoints(workload)
-
-    def prepare_detailed_batch(self, workload: str,
-                               configs: list[BoomConfig]) -> int:
-        """Materialize ``detailed_sim`` for many configs in one batch.
-
-        Runs the batched engine (:mod:`repro.sim.batch`) over every
-        config whose detailed artifact is not yet cached, then persists
-        each per-config record list under its ordinary stage fingerprint
-        — byte-identical to what the serial path would have written, so
-        downstream stages (and concurrent per-config workers) consume it
-        with no knowledge of how it was produced.  Returns the number of
-        configs simulated; a later :meth:`detailed` call for any of them
-        is a cache hit.
-        """
-        missing = [config for config in configs
-                   if not self.store.has(
-                       DETAILED_STAGE,
-                       self.detailed_fingerprint(workload, config))]
-        if not missing:
-            return 0
-        settings = self.settings
-        interval = get_workload(workload).interval_for_scale(settings.scale)
-        batched = simulate_raw_runs_batched(
-            missing, self.program(workload), self.checkpoints(workload),
-            interval)
-        for config in missing:
-            raw = batched[config.name]
-            # fetch_json with a precomputed payload: the journaled,
-            # atomic, fault-injectable write path the serial compute
-            # uses — a batch-primed artifact is indistinguishable on
-            # disk from a serially-computed one.
-            self.store.fetch_json(
-                DETAILED_STAGE,
-                self.detailed_fingerprint(workload, config),
-                compute=lambda raw=raw: raw,
-                label=f"{workload}/{config.name}")
-        return len(missing)
 
     def workload_prepared(self, workload: str) -> bool:
         """Whether the per-workload chain is already cached."""

@@ -32,8 +32,7 @@ from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.cache import L1Cache
 from repro.uarch.config import BoomConfig
 from repro.uarch.execute import ExecutionUnits
-from repro.uarch.frontend import (REDIRECT_PENALTY, _LINE_SHIFT, FetchUnit,
-                                  TraceFetchUnit)
+from repro.uarch.frontend import REDIRECT_PENALTY, _LINE_SHIFT, FetchUnit
 from repro.uarch.ftrace import FetchTrace
 from repro.uarch.issue import make_issue_queue
 from repro.uarch.lsu import LoadStoreUnit
@@ -60,21 +59,17 @@ class BoomCore:
         self.bpu = BranchPredictionUnit(config.predictor, stats.predictor)
         self.icache = L1Cache(config.icache, stats.icache, hit_latency=1)
         self.dcache = L1Cache(config.dcache, stats.dcache, hit_latency=3)
-        if trace is not None:
-            # Batched replay: the shared oracle trace stands in for the
-            # per-core functional model (no ArchState needed).
-            self.frontend: FetchUnit = TraceFetchUnit(
-                config, program, trace, self.bpu, self.icache,
-                stats.frontend)
-        else:
+        if trace is None:
+            # A core of its own: a private trace wraps the functional
+            # model (a shared trace feeds one checkpoint to many configs).
             if state is None:
                 state = ArchState.for_program(program)
-            self.frontend = FetchUnit(config, program, state, self.bpu,
-                                      self.icache, stats.frontend)
+            trace = FetchTrace(program, state, private=True)
+        self.frontend = FetchUnit(config, trace, self.bpu, self.icache,
+                                  stats.frontend)
         # The specialized fused loop replicates the collapsing-queue select
         # inline; ring-queue configs replay the trace via the generic loop.
-        self._fused = (trace is not None
-                       and config.issue_queue_kind == "collapsing")
+        self._fused = config.issue_queue_kind == "collapsing"
         self.rename = RenameStage(config, stats.int_rename, stats.fp_rename)
         self.rob = ReorderBuffer(config.rob_entries, stats.rob)
         kind = config.issue_queue_kind
@@ -134,12 +129,9 @@ class BoomCore:
         ``_HEARTBEAT_STRIDE`` cycles.  It only reads the counters — the
         loop's termination conditions and step sequence are identical
         with and without it, so a traced run retires exactly the same
-        instructions as an untraced one.  The ``heartbeat is None``
-        generic path is the original loop, untouched, to keep the hot
-        path free of per-cycle bookkeeping; the fused loop takes the
-        observer directly (its hoisted state is settled back onto the
-        core before every callback, so observers read consistent stats
-        mid-run on either loop).
+        instructions as an untraced one.  The fused loop settles its
+        hoisted state back onto the core before every callback, so
+        observers read consistent stats mid-run on either loop.
         """
         start = self.retired_total
         start_cycle = self.cycle
@@ -152,39 +144,9 @@ class BoomCore:
             if self._fused and self.retire_log is None:
                 self._run_fused(target, deadline, heartbeat=heartbeat,
                                 hb_start=start, hb_start_cycle=start_cycle)
-            elif heartbeat is None:
-                while True:
-                    if target is not None \
-                            and self.retired_total >= target:
-                        break
-                    if self.frontend.out_of_instructions \
-                            and self.rob.is_empty:
-                        break
-                    self._step()
-                    if self.cycle > deadline:
-                        raise SimulationError(
-                            f"pipeline made no progress for "
-                            f"{_SAFETY_FACTOR}x the instruction budget "
-                            f"(deadlock?) at cycle {self.cycle}")
             else:
-                countdown = _HEARTBEAT_STRIDE
-                while True:
-                    if target is not None and self.retired_total >= target:
-                        break
-                    if self.frontend.out_of_instructions \
-                            and self.rob.is_empty:
-                        break
-                    self._step()
-                    countdown -= 1
-                    if countdown == 0:
-                        countdown = _HEARTBEAT_STRIDE
-                        heartbeat(self.retired_total - start,
-                                  self.cycle - start_cycle)
-                    if self.cycle > deadline:
-                        raise SimulationError(
-                            f"pipeline made no progress for "
-                            f"{_SAFETY_FACTOR}x the instruction budget "
-                            f"(deadlock?) at cycle {self.cycle}")
+                self._run_generic(target, deadline, heartbeat, start,
+                                  start_cycle)
         finally:
             # Issue-queue occupancy is sampled into histograms per cycle;
             # fold them into the stats counters whenever control leaves
@@ -193,6 +155,27 @@ class BoomCore:
             self.iq_mem.flush_samples()
             self.iq_fp.flush_samples()
         return self.retired_total - start
+
+    def _run_generic(self, target: int | None, deadline: int, heartbeat,
+                     hb_start: int, hb_start_cycle: int) -> None:
+        """The reference loop: one :meth:`_step` per cycle."""
+        # -1 when unobserved: the countdown never reaches zero
+        countdown = _HEARTBEAT_STRIDE if heartbeat is not None else -1
+        while True:
+            if target is not None and self.retired_total >= target:
+                break
+            if self.frontend.out_of_instructions and self.rob.is_empty:
+                break
+            self._step()
+            countdown -= 1
+            if countdown == 0:
+                countdown = _HEARTBEAT_STRIDE
+                heartbeat(self.retired_total - hb_start,
+                          self.cycle - hb_start_cycle)
+            if self.cycle > deadline:
+                raise SimulationError(
+                    f"pipeline made no progress for {_SAFETY_FACTOR}x the "
+                    f"instruction budget (deadlock?) at cycle {self.cycle}")
 
     def _step(self) -> None:
         cycle = self.cycle
@@ -392,13 +375,13 @@ class BoomCore:
         self.stats.dcache.mshr_occupancy += self.dcache.mshr_occupancy(cycle)
 
     # ------------------------------------------------------------------
-    # the fused trace-replay loop (batched engine)
+    # the fused trace-replay loop
     # ------------------------------------------------------------------
 
     def _run_fused(self, target: int | None, deadline: int,
                    heartbeat=None, hb_start: int = 0,
                    hb_start_cycle: int = 0) -> None:
-        """Specialized cycle loop for trace-driven (batched) replay.
+        """Specialized cycle loop for the collapsing-queue shape.
 
         Semantically identical to iterating :meth:`_step`: same stage
         order, same counter updates, same termination and deadline
@@ -408,7 +391,8 @@ class BoomCore:
         sampling) are inlined here with hot state hoisted into locals, so
         per-cycle Python dispatch collapses into one loop body.  Only
         built for collapsing issue queues with no retire log; every other
-        shape replays the trace through the generic loop.
+        shape (and any core with a ``retire_log``) replays the trace
+        through the generic loop, which stays the readable reference.
 
         ``heartbeat`` matches the :meth:`run` observer contract: every
         ``_HEARTBEAT_STRIDE`` cycles the hoisted locals are settled back
@@ -1052,10 +1036,10 @@ class BoomCore:
                         by_trace[key] = by_trace.get(key, 0) + 1
                         width -= 1
 
-                # ---- fetch (TraceFetchUnit.cycle, inlined) ----
+                # ---- fetch (FetchUnit.cycle, inlined) ----
                 fbo += buf_n
                 if pos + fetch_width > n_entries and not exited:
-                    trace.ensure(pos + fetch_width)
+                    pos -= trace.ensure(pos + fetch_width, pos)
                     n_entries = len(trace_entries)
                     exited = trace.exited
                 if pos < n_entries or not exited:

@@ -7,10 +7,11 @@ a :class:`DecodedOp` template.  Fetch then stamps out :class:`Uop`
 instances from the template with direct slot stores — no per-fetch spec
 walks, enum property lookups, or string comparisons.
 
-The decode table is shared between every :class:`~repro.uarch.frontend.
-FetchUnit` built for the same program (checkpointed detailed runs build
-one core per SimPoint), via an id-keyed cache with weakref eviction —
-the same lifetime scheme as the functional executor's superblock cache.
+The decode table is shared between every
+:class:`~repro.uarch.ftrace.FetchTrace` built for the same program
+(checkpointed detailed runs build one trace per SimPoint), via an id-keyed
+cache with weakref eviction — the same lifetime scheme as the functional
+executor's superblock cache.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def _assign_trace_keys(table: list[DecodedOp]) -> None:
 
     Leaders are the program entry, every instruction after a control
     transfer, and every statically-known branch/jump target.  The label is
-    a pure function of the program text, so the serial and batched engines
-    attribute dispatches to identical trace keys.
+    a pure function of the program text, so every config replaying a
+    trace attributes dispatches to identical trace keys.
     """
     if not table:
         return

@@ -126,8 +126,8 @@ class AccountingStats:
     """Commit/retire attribution counters (R10K-style ipc report inputs).
 
     Occupancies are sampled at each retire, *after* the retiring uop has
-    left the structure, so serial and batched engines (which interleave
-    bookkeeping differently) observe identical values.  ``dispatch_by_trace``
+    left the structure, so the fused and generic cycle loops (which
+    interleave bookkeeping differently) observe identical values.  ``dispatch_by_trace``
     keys dispatch counts by the static basic-block leader pc of each uop
     (``DecodedOp.trace_key``), attributing pipeline work to hot traces.
     """

@@ -111,3 +111,29 @@ def test_bad_magic_rejected():
 def test_truncated_blob_rejected():
     with pytest.raises(CheckpointError):
         Checkpoint.from_bytes(b"RV")
+
+
+def test_exited_flag_round_trips():
+    """A checkpoint of an exited hart restores as exited."""
+    program, running = make_checkpoint()
+    assert not running.exited
+    assert not Checkpoint.from_bytes(running.to_bytes()).restore().exited
+    executor = Executor(program)
+    executor.run_to_completion()
+    done = Checkpoint.capture(executor.state, workload="probe",
+                              interval_index=0, weight=1.0,
+                              warmup_instructions=0)
+    assert done.exited
+    assert done.restore().exited
+    assert Checkpoint.from_bytes(done.to_bytes()).restore().exited
+
+
+def test_version_1_blob_loads_as_running_hart():
+    """Blobs written before the flags byte existed still load."""
+    _, checkpoint = make_checkpoint()
+    blob = bytearray(checkpoint.to_bytes()[:-1])  # drop the flags byte
+    blob[4:6] = (1).to_bytes(2, "little")         # format version 1
+    loaded = Checkpoint.from_bytes(bytes(blob))
+    assert not loaded.exited
+    assert loaded.pages == checkpoint.pages
+    assert loaded.xregs == checkpoint.xregs

@@ -12,11 +12,33 @@ from repro.flow.report import generate_report
 from repro.flow.sweep import SweepRunner
 
 
+SETTINGS = FlowSettings(scale=0.06)
+
+
 @pytest.fixture(scope="module")
-def report_text(tmp_path_factory):
+def filled_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")
-    runner = SweepRunner(FlowSettings(scale=0.06), cache_dir=cache)
-    return generate_report(runner)
+    runner = SweepRunner(SETTINGS, cache_dir=cache)
+    return cache, generate_report(runner)
+
+
+@pytest.fixture(scope="module")
+def report_text(filled_cache):
+    return filled_cache[1]
+
+
+def test_report_over_filled_store_reprofiles_nothing(filled_cache):
+    """Table II reads the store's profiles and selections: a report over
+    a filled store computes neither stage, with the same Table II."""
+    from repro.analysis.tables import format_table_ii, table_ii
+
+    runner = SweepRunner(SETTINGS, cache_dir=filled_cache[0])
+    report = generate_report(runner)
+    stats = runner.store.stats()
+    for stage in ("bbv_profile", "simpoint_selection"):
+        assert stats[stage].misses == 0, stage
+        assert stats[stage].hits > 0, stage
+    assert format_table_ii(table_ii(SETTINGS)) in report
 
 
 def test_report_contains_every_section(report_text):

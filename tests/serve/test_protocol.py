@@ -76,9 +76,7 @@ class TestNormalization:
 class TestHash:
     def test_execution_strategy_excluded(self):
         base = JobRequest.from_dict({"scale": 0.5})
-        batched = JobRequest.from_dict({"scale": 0.5, "batch": True})
         fanout = JobRequest.from_dict({"scale": 0.5, "jobs": 8})
-        assert request_hash(base) == request_hash(batched)
         assert request_hash(base) == request_hash(fanout)
 
     def test_result_relevant_fields_included(self):

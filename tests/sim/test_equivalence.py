@@ -11,10 +11,11 @@ path, the decode-cached frontend, and the batched-stats core are all
   ``control_hook`` BBV contract);
 * BBV profiles;
 * final ``uarch.stats`` counters and power reports per config;
-* batched multi-config replay (one shared fetch trace feeding every
-  config) vs serial per-config simulation — bit-identical cycle counts
-  and stat dictionaries, including the ring-queue fallback shape and a
-  DSE-sampled off-preset point.
+* the fused cycle loop vs the generic ``_step`` loop (the readable
+  reference spec), with every config replaying one shared fetch trace —
+  bit-identical cycle counts and stat dictionaries, including the
+  ring-queue shape, a DSE-sampled off-preset point, and a private trace
+  long enough to drop its fetched entries.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.sim.executor import Executor
 from repro.sim.tracing import RetireTrace, diff_traces
 from repro.uarch.config import ALL_CONFIGS
 from repro.uarch.core import BoomCore
-from repro.uarch.ftrace import FetchTrace
+from repro.uarch.ftrace import CHUNK, FetchTrace
 from repro.uarch.space import SpaceSpec, generate_points
 from repro.workloads.suite import build_program, workload_names
 
@@ -96,7 +97,7 @@ def test_core_stats_and_power_match_golden(workload):
 
 
 # ----------------------------------------------------------------------
-# batched multi-config replay vs serial per-config simulation
+# the fused cycle loop vs the generic _step loop
 # ----------------------------------------------------------------------
 
 _BATCH_WARMUP = 500
@@ -114,47 +115,93 @@ def _batch_checkpoint():
     return program, checkpoint
 
 
-def _measure(core) -> tuple[int, str]:
+def _measure(core, window=_BATCH_WINDOW) -> tuple[int, str]:
     core.run(_BATCH_WARMUP)
     stats = core.begin_measurement()
-    core.run(_BATCH_WINDOW)
+    core.run(window)
     return core.cycle, json.dumps(stats.to_dict(), sort_keys=True)
 
 
-def _serial_runs(program, checkpoint, configs):
-    return {config.name:
-            _measure(BoomCore(config, program,
-                              state=checkpoint.restore()))
-            for config in configs}
+def _shared_runs(program, checkpoint, configs, *, stepped=False):
+    """Every config replays ONE shared trace, as a sweep does.
 
-
-def _batched_runs(program, checkpoint, configs):
+    ``stepped`` routes each core through the generic ``_step`` loop: a
+    retire log disables the fused loop.
+    """
     trace = FetchTrace(program, checkpoint.restore())
-    return {config.name: _measure(BoomCore(config, program, trace=trace))
-            for config in configs}
+    runs = {}
+    for config in configs:
+        core = BoomCore(config, program, trace=trace)
+        if stepped:
+            core.retire_log = []
+        runs[config.name] = _measure(core)
+    return runs
 
 
 def test_batched_presets_bit_identical():
-    """All three paper presets in ONE batch vs serial, full stat dicts."""
+    """All three paper presets in one shared trace, fused vs _step."""
     program, checkpoint = _batch_checkpoint()
-    serial = _serial_runs(program, checkpoint, ALL_CONFIGS)
-    batched = _batched_runs(program, checkpoint, ALL_CONFIGS)
+    fused = _shared_runs(program, checkpoint, ALL_CONFIGS)
+    stepped = _shared_runs(program, checkpoint, ALL_CONFIGS, stepped=True)
     for config in ALL_CONFIGS:
-        assert batched[config.name] == serial[config.name], config.name
-    # The presets genuinely diverge from each other (the batch did not
-    # collapse them onto one back-end).
-    cycles = {serial[config.name][0] for config in ALL_CONFIGS}
+        assert fused[config.name] == stepped[config.name], config.name
+    # The presets genuinely diverge from each other (the shared trace
+    # did not collapse them onto one back-end).
+    cycles = {fused[config.name][0] for config in ALL_CONFIGS}
     assert len(cycles) == len(ALL_CONFIGS)
 
 
 def test_batched_ring_queue_shape_bit_identical():
-    """The non-collapsing issue-queue fallback replays identically."""
+    """The ring-queue shape (generic loop only) replays identically from
+    a trace shared with a fused collapsing config and from its own."""
     program, checkpoint = _batch_checkpoint()
     ring = tuple(config.with_issue_queues("ring")
                  for config in ALL_CONFIGS[:2])
-    serial = _serial_runs(program, checkpoint, ring)
-    batched = _batched_runs(program, checkpoint, ring)
-    assert batched == serial
+    shared = _shared_runs(program, checkpoint, (ALL_CONFIGS[2],) + ring)
+    for config in ring:
+        own = _measure(BoomCore(config, program,
+                                state=checkpoint.restore()))
+        assert shared[config.name] == own, config.name
+
+
+def test_batched_dse_sampled_point_bit_identical():
+    """A generated off-preset design point joins the presets' trace."""
+    sampled = generate_points(SpaceSpec(base="LargeBOOM", mode="random",
+                                        count=1, seed=23,
+                                        include_presets=False))
+    assert len(sampled) == 1
+    configs = ALL_CONFIGS + (sampled[0],)
+    names = [config.name for config in configs]
+    assert len(set(names)) == len(names)
+    program, checkpoint = _batch_checkpoint()
+    fused = _shared_runs(program, checkpoint, configs)
+    stepped = _shared_runs(program, checkpoint, configs, stepped=True)
+    assert fused == stepped
+
+
+def test_private_trace_drops_fetched_entries():
+    """A core of its own keeps its trace bounded on a long window, on
+    both loops, and matches a shared trace that keeps every entry."""
+    program = build_program("sha", scale=0.5, seed=GOLDEN_SEED)
+    executor = Executor(program)
+    executor.run(max_instructions=1_500)
+    checkpoint = Checkpoint.capture(
+        executor.state, workload="sha", interval_index=0, weight=1.0,
+        warmup_instructions=_BATCH_WARMUP)
+    window = 2 * CHUNK + 4_000
+    config = ALL_CONFIGS[0]
+    shared = _measure(BoomCore(config, program,
+                               trace=FetchTrace(program,
+                                                checkpoint.restore())),
+                      window)
+    for stepped in (False, True):
+        core = BoomCore(config, program, state=checkpoint.restore())
+        if stepped:
+            core.retire_log = []
+        assert _measure(core, window) == shared, stepped
+        trace = core.frontend.trace
+        assert trace.recorded >= _BATCH_WARMUP + window
+        assert len(trace) <= 2 * CHUNK
 
 
 def test_flight_recorder_is_observation_only():
@@ -181,18 +228,3 @@ def test_flight_recorder_is_observation_only():
         observed = (core.cycle, json.dumps(stats.to_dict(),
                                            sort_keys=True))
         assert observed == plain, config.name
-
-
-def test_batched_dse_sampled_point_bit_identical():
-    """A generated off-preset design point joins the presets' batch."""
-    sampled = generate_points(SpaceSpec(base="LargeBOOM", mode="random",
-                                        count=1, seed=23,
-                                        include_presets=False))
-    assert len(sampled) == 1
-    configs = ALL_CONFIGS + (sampled[0],)
-    names = [config.name for config in configs]
-    assert len(set(names)) == len(names)
-    program, checkpoint = _batch_checkpoint()
-    serial = _serial_runs(program, checkpoint, configs)
-    batched = _batched_runs(program, checkpoint, configs)
-    assert batched == serial
