@@ -28,8 +28,9 @@ Metrics (all flat floats under ``metrics``):
   normalize cross-machine comparisons (CI runners are not the dev box).
 
 Snapshots are compared metric-by-metric; ``--check`` fails on a >30 %
-regression of any calibration-normalized throughput metric, which is the
-CI perf-smoke gate.
+regression of any calibration-normalized throughput metric, and on a
+gated metric that only one of the two snapshots has, which is the CI
+perf-smoke gate.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ def measure_serve(limits: BenchLimits, metrics: dict[str, float]) -> None:
     """
     import tempfile
 
-    from repro.serve import ServerThread, run_load
+    from repro.serve.loadgen import run_load
+    from repro.serve.server import ServerThread
 
     request = {"kind": "sweep", "scale": limits.stage_scale,
                "workloads": [SERVE_WORKLOAD], "configs": [SERVE_CONFIG]}
@@ -450,14 +452,25 @@ def compare(current: dict, baseline: dict) -> dict[str, dict]:
     return out
 
 
+def gated(metric: str) -> bool:
+    """Whether ``metric`` is a regression-gated throughput metric."""
+    return (metric.startswith(THROUGHPUT_PREFIXES)
+            and not metric.startswith(UNGATED_PREFIXES))
+
+
 def regression_failures(current: dict, baseline: dict,
                         threshold: float = DEFAULT_THRESHOLD) -> list[str]:
-    """Throughput metrics that regressed past ``threshold`` (normalized)."""
-    failures = []
+    """Gated metrics that regressed past ``threshold`` (normalized), or
+    that only one of the two snapshots has: a metric the baseline lacks
+    would otherwise pass ungated, and one the run lost would vanish."""
+    now = current.get("metrics", {})
+    base = baseline.get("metrics", {})
+    failures = [
+        f"{metric}: missing from the "
+        f"{'baseline' if metric in now else 'current run'}"
+        for metric in sorted(set(now) ^ set(base)) if gated(metric)]
     for metric, entry in compare(current, baseline).items():
-        if not metric.startswith(THROUGHPUT_PREFIXES):
-            continue
-        if metric.startswith(UNGATED_PREFIXES):
+        if not gated(metric):
             continue
         ratio = entry.get("normalized_ratio", entry.get("ratio"))
         if ratio is not None and ratio < 1.0 - threshold:
@@ -502,9 +515,7 @@ def format_trend(snapshots: list[tuple[str, dict]], *,
         names = sorted({
             metric
             for _, snapshot in snapshots
-            for metric in snapshot.get("metrics", {})
-            if metric.startswith(THROUGHPUT_PREFIXES)
-            and not metric.startswith(UNGATED_PREFIXES)})
+            for metric in snapshot.get("metrics", {}) if gated(metric)})
     else:
         names = list(metrics)
     dates = [name.removeprefix("BENCH_").removesuffix(".json")

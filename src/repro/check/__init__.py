@@ -53,25 +53,8 @@ def set_checks_enabled(enabled: bool) -> None:
         os.environ.pop(CHECK_ENV, None)
 
 
-from repro.check.differential import DifferentialReport, run_differential
-from repro.check.invariants import CoreInvariantChecker
-from repro.check.storage import StorageReport, validate_storage
-from repro.check.validators import (
-    require_valid_result,
-    validate_report,
-    validate_result,
-)
-
 __all__ = [
     "CHECK_ENV",
-    "CoreInvariantChecker",
-    "DifferentialReport",
-    "StorageReport",
     "checks_enabled",
-    "require_valid_result",
-    "run_differential",
     "set_checks_enabled",
-    "validate_report",
-    "validate_result",
-    "validate_storage",
 ]

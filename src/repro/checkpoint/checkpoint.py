@@ -28,6 +28,9 @@ _VERSIONS = (1, 2)
 #: flags-byte bits (version 2 on)
 _EXITED = 1
 
+#: instructions of detailed warm-up captured ahead of each SimPoint
+DEFAULT_WARMUP = 2000
+
 
 @dataclass
 class Checkpoint:

@@ -10,13 +10,11 @@ paper's Spike-based generation step (Fig. 4, step 3).
 from __future__ import annotations
 
 from repro.errors import CheckpointError
-from repro.checkpoint.checkpoint import Checkpoint
+from repro.checkpoint.checkpoint import Checkpoint, DEFAULT_WARMUP
 from repro.isa.program import Program
 from repro.obs.tracer import get_tracer
 from repro.sim.executor import Executor
 from repro.simpoint.simpoints import SimPoint, SimPointSelection
-
-DEFAULT_WARMUP = 2000
 
 
 def checkpoint_starts(points: list[SimPoint], interval_size: int,

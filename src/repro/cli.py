@@ -27,23 +27,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import (
-    check_all,
+from repro.analysis.efficiency import summarize
+from repro.analysis.figures import (
     component_power_series,
     fig10_ipc,
     fig11_perf_per_watt,
     fig8_issue_slots,
     fig9_component_share,
-    format_checks,
     format_component_power,
     format_fig8,
     format_per_benchmark,
-    format_table_ii,
-    summarize,
-    table_i,
-    table_ii,
 )
-from repro.flow import FlowSettings, speedup_report, SweepRunner
+from repro.analysis.tables import format_table_ii, table_i, table_ii
+from repro.analysis.takeaways import check_all, format_checks
+from repro.flow.experiment import FlowSettings
+from repro.flow.speedup import speedup_report
+from repro.flow.sweep import SweepRunner
 from repro.obs.logs import setup_cli_logging
 from repro.uarch.config import ALL_CONFIGS, config_by_name
 from repro.workloads.suite import workload_names
@@ -221,7 +220,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.flow.jobs import JobLimits
-    from repro.serve import ClientQuotas, serve_forever
+    from repro.serve.quotas import ClientQuotas
+    from repro.serve.server import serve_forever
 
     limits = JobLimits(
         jobs_cap=args.jobs_cap, timeout=args.timeout,
@@ -419,8 +419,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.cache_dir)
     if args.action == "stats":
         counts = store.artifact_counts()
-        legacy = store.legacy_files()
-        if not counts and not legacy:
+        if not counts:
             print(f"{args.cache_dir}: empty")
             return 0
         print(f"{'stage':<22}{'artifacts':>10}{'bytes':>12}")
@@ -431,9 +430,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for stage in sorted(set(counts) - set(STAGE_ORDER)):
             number, size = counts[stage]
             print(f"{stage:<22}{number:>10}{size:>12,}")
-        if legacy:
-            print(f"{'(legacy layout)':<22}{len(legacy):>10}"
-                  f"{sum(p.stat().st_size for p in legacy):>12,}")
         manifest_path = Path(args.cache_dir) / MANIFEST_NAME
         if manifest_path.exists():
             import json
@@ -510,12 +506,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoints(args: argparse.Namespace) -> int:
-    from repro.checkpoint import (
-        create_checkpoints,
-        describe_store,
-        save_checkpoints,
-    )
-    from repro.flow import profile_and_select
+    from repro.checkpoint.creator import create_checkpoints
+    from repro.checkpoint.store import describe_store, save_checkpoints
+    from repro.flow.experiment import profile_and_select
     from repro.workloads.suite import build_program
 
     settings = FlowSettings(scale=args.scale, seed=args.seed)

@@ -2,56 +2,19 @@
 
 Since the staged-pipeline refactor the flow is a composition of
 content-addressed stages; see :mod:`repro.pipeline` for the stage and
-artifact-store machinery re-exported here.
+artifact-store machinery.
 """
 
-from repro.flow.dse import DseOutcome, run_dse
 from repro.flow.experiment import (
-    DEFAULT_BIC_THRESHOLD,
-    DEFAULT_MAX_K,
     FlowSettings,
     profile_and_select,
     run_experiment,
-    run_selection,
 )
-from repro.flow.interrupt import InterruptGuard
-from repro.flow.jobs import JobLimits, run_job
-from repro.flow.results import ExperimentResult, SimPointRun
-from repro.flow.scheduler import (
-    RetryPolicy,
-    ScheduleOutcome,
-    SupervisedScheduler,
-    Task,
-)
-from repro.flow.speedup import speedup_report, SpeedupReport, SpeedupRow
-from repro.flow.sweep import DEFAULT_CACHE_DIR, MODEL_VERSION, SweepRunner
-from repro.pipeline import ArtifactStore, ExperimentPipeline, RunManifest
+from repro.flow.sweep import SweepRunner
 
 __all__ = [
-    "DseOutcome",
-    "run_dse",
-    "DEFAULT_BIC_THRESHOLD",
-    "DEFAULT_MAX_K",
     "FlowSettings",
     "profile_and_select",
     "run_experiment",
-    "run_selection",
-    "ExperimentResult",
-    "InterruptGuard",
-    "JobLimits",
-    "run_job",
-    "SimPointRun",
-    "RetryPolicy",
-    "ScheduleOutcome",
-    "SupervisedScheduler",
-    "Task",
-    "speedup_report",
-    "SpeedupReport",
-    "SpeedupRow",
-    "DEFAULT_CACHE_DIR",
-    "MODEL_VERSION",
     "SweepRunner",
-    "ArtifactStore",
-    "ExperimentPipeline",
-    "RunManifest",
 ]

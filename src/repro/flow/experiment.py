@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.checkpoint.creator import DEFAULT_WARMUP
+from repro.checkpoint.checkpoint import DEFAULT_WARMUP
 from repro.flow.results import ExperimentResult
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.faults import FaultInjector

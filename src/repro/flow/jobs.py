@@ -79,7 +79,7 @@ def _run_sweep_job(request, settings: FlowSettings,
                    cache_dir: Path | str | None, *, jobs: int,
                    workloads: list[str] | None, limits: JobLimits,
                    trace: bool, runner_hook) -> dict:
-    from repro.analysis import summarize
+    from repro.analysis.efficiency import summarize
 
     if request.configs is not None:
         configs = tuple(config_by_name(name) for name in request.configs)

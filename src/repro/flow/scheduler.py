@@ -42,7 +42,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     Future,
-    ProcessPoolExecutor,
     wait as wait_futures,
 )
 from dataclasses import dataclass, field
@@ -177,6 +176,13 @@ def _render(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
 
 
+def _process_pool(workers: int) -> Any:
+    # imported here: multiprocessing loads only when a pool is spawned
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class SupervisedScheduler:
     """Retry/timeout-supervised fan-out over a (re-spawnable) pool."""
 
@@ -195,7 +201,7 @@ class SupervisedScheduler:
         self.guard = guard if (guard is not None and guard.active) else None
         self._executor_factory = (
             executor_factory if executor_factory is not None
-            else lambda workers: ProcessPoolExecutor(max_workers=workers))
+            else _process_pool)
         self._sleep = sleep
         self._clock = clock
 

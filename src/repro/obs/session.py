@@ -23,7 +23,6 @@ import os
 import time
 from pathlib import Path
 
-from .flight import write_merged_flight
 from .merge import write_merged_trace
 from .metrics import get_metrics
 from .tracer import (
@@ -116,6 +115,8 @@ class TraceSession:
             self.trace_path = write_merged_trace(self.run_dir)
         except OSError:
             self.trace_path = None
+        from .flight import write_merged_flight
+
         try:
             self.flight_path = write_merged_flight(self.run_dir)
         except OSError:

@@ -30,42 +30,31 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
-from typing import Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.check import checks_enabled
-from repro.check.invariants import CoreInvariantChecker
 from repro.check.validators import require_valid_result
 from repro.checkpoint.checkpoint import Checkpoint
-from repro.checkpoint.creator import create_checkpoints
 from repro.checkpoint.store import load_checkpoints, save_checkpoints
 from repro.errors import CorruptArtifactError, SweepInterrupted
-from repro.obs.flight import FlightRecorder
-from repro.obs.heartbeat import HeartbeatEmitter
 from repro.obs.tracer import get_tracer
 from repro.pipeline.artifacts import ArtifactStore, MODEL_VERSION
+from repro.profiling.bbv import BBVProfile
+from repro.simpoint.simpoints import SimPoint, SimPointSelection
+from repro.uarch.config import BoomConfig
+from repro.workloads.suite import build_program, get_workload
 
-# NOTE: repro.flow.results is imported lazily inside the functions that
-# need it.  Importing it at module level would execute repro.flow's
-# package __init__, which imports repro.flow.experiment, which imports
-# this module — a cycle whenever repro.pipeline is imported first.
-from typing import TYPE_CHECKING
-
+# Nothing imported at module level loads the compute stack (numpy, the
+# functional executor, the detailed core, k-means, the checkpoint
+# creator), so a warm run served from the store never pays for it: each
+# stage computation imports what it runs on a miss (DESIGN.md §6).
+# repro.flow.results is imported inside functions for another reason:
+# importing it here would run repro.flow's package __init__, which
+# imports repro.flow.experiment, which imports this module — a cycle
+# whenever repro.pipeline is imported first.
 if TYPE_CHECKING:
     from repro.flow.results import ExperimentResult, SimPointRun
-from repro.power.model import PowerModel
-from repro.profiling.bbv import BBVProfile, BBVProfiler
-from repro.simpoint.simpoints import (
-    SimPoint,
-    SimPointSelection,
-    select_simpoints,
-)
-from repro.uarch.config import BoomConfig
-from repro.uarch.core import BoomCore
-from repro.uarch.ftrace import FetchTrace
-from repro.uarch.stats import CoreStats
-from repro.workloads.suite import build_program, get_workload
+    from repro.uarch.ftrace import FetchTrace
 
 PROFILE_STAGE = "bbv_profile"
 SELECTION_STAGE = "simpoint_selection"
@@ -168,7 +157,7 @@ def selection_from_dict(data: dict) -> SimPointSelection:
         total_instructions=data["total_instructions"],
         bic_scores={int(k): score
                     for k, score in data["bic_scores"].items()},
-        labels=None if labels is None else np.asarray(labels),
+        labels=None if labels is None else tuple(labels),
         coverage_target=data["coverage_target"])
 
 
@@ -180,6 +169,8 @@ def selection_from_dict(data: dict) -> SimPointSelection:
 def compute_profile(workload: str, settings,
                     program=None) -> BBVProfile:
     """Stage 1: functional run + per-interval basic-block vectors."""
+    from repro.profiling.bbv import BBVProfiler
+
     spec = get_workload(workload)
     if program is None:
         program = build_program(workload, scale=settings.scale,
@@ -190,6 +181,8 @@ def compute_profile(workload: str, settings,
 
 def compute_selection(profile: BBVProfile, settings) -> SimPointSelection:
     """Stage 2: SimPoint 3.0 clustering over the BBV matrix."""
+    from repro.simpoint.simpoints import select_simpoints
+
     return select_simpoints(profile, max_k=settings.max_k,
                             seed=settings.seed,
                             bic_threshold=settings.bic_threshold,
@@ -200,6 +193,8 @@ def compute_checkpoints(workload: str, settings,
                         selection: SimPointSelection,
                         program=None) -> list[Checkpoint]:
     """Stage 3: one functional pass snapshotting every SimPoint start."""
+    from repro.checkpoint.creator import create_checkpoints
+
     if program is None:
         program = build_program(workload, scale=settings.scale,
                                 seed=settings.seed)
@@ -215,6 +210,10 @@ def simulate_checkpoint(config: BoomConfig, program,
     ``trace`` is the checkpoint's fetch trace, shared by every config
     that replays it.
     """
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.heartbeat import HeartbeatEmitter
+    from repro.uarch.core import BoomCore
+
     tracer = get_tracer()
     heartbeat = None
     emitter = None
@@ -244,6 +243,8 @@ def simulate_checkpoint(config: BoomConfig, program,
             heartbeat = recorder
         checker = None
         if checks_enabled():
+            from repro.check.invariants import CoreInvariantChecker
+
             checker = CoreInvariantChecker(core, wrapped=heartbeat)
             heartbeat = checker
         if checkpoint.warmup_instructions:
@@ -304,6 +305,8 @@ def simulate_raw_runs(configs: Iterable[BoomConfig], program,
     whose simulation raises is dropped from the remaining checkpoints
     and keeps the error; the others finish.
     """
+    from repro.uarch.ftrace import FetchTrace
+
     configs = tuple(configs)
     names = [config.name for config in configs]
     if len(set(names)) != len(names):
@@ -336,6 +339,8 @@ def power_runs_from_raw(raw: list[dict], config: BoomConfig,
                         workload: str) -> list[SimPointRun]:
     """Stage 5: convert measured activity to per-point power reports."""
     from repro.flow.results import SimPointRun
+    from repro.power.model import PowerModel
+    from repro.uarch.stats import CoreStats
 
     model = PowerModel(config)
     runs: list[SimPointRun] = []
@@ -393,6 +398,10 @@ class ExperimentPipeline:
         #: program identity.  Fingerprints never include the program, so
         #: cached artifacts are unaffected.
         self._programs: dict[str, Any] = {}
+        #: config -> ``asdict(config)``, the detailed fingerprint's
+        #: config parameters; a recursive copy of the whole config tree,
+        #: so it is made once per config, not once per fingerprint
+        self._config_params: dict[BoomConfig, dict] = {}
 
     def program(self, workload: str):
         """The assembled :class:`Program` for ``workload`` (memoized)."""
@@ -437,9 +446,12 @@ class ExperimentPipeline:
 
     def detailed_fingerprint(self, workload: str,
                              config: BoomConfig) -> str:
+        params = self._config_params.get(config)
+        if params is None:
+            params = self._config_params[config] = asdict(config)
         return self.store.fingerprint(DETAILED_STAGE, {
             "checkpoints": self.checkpoint_fingerprint(workload),
-            "config": asdict(config),
+            "config": params,
             "model": MODEL_VERSION,
         })
 
@@ -554,8 +566,7 @@ class ExperimentPipeline:
                 for run in payload],
             label=f"{workload}/{config.name}")
 
-    def result(self, workload: str, config: BoomConfig,
-               fallback: Any = None) -> ExperimentResult:
+    def result(self, workload: str, config: BoomConfig) -> ExperimentResult:
         from repro.flow.results import ExperimentResult
 
         def compute() -> ExperimentResult:
@@ -581,8 +592,7 @@ class ExperimentPipeline:
             RESULT_STAGE, self.result_fingerprint(workload, config),
             compute=compute,
             encode=lambda result: result.to_dict(),
-            decode=decode,
-            fallback=fallback, label=f"{workload}/{config.name}")
+            decode=decode, label=f"{workload}/{config.name}")
 
     # --------------------------- scheduling ---------------------------
 

@@ -20,15 +20,17 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import SimPointError
 from repro.isa.program import Program
-from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
 from repro.obs.tracer import get_tracer
-from repro.sim.executor import Executor
+
+# BBVProfile is also the decoded artifact of a warm run, so numpy and the
+# functional executor are imported only by the methods that compute.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -76,6 +78,8 @@ class BBVProfile:
         clustering operates on (intervals of slightly different lengths
         become comparable).
         """
+        import numpy as np
+
         if not self.vectors:
             raise SimPointError("profile has no intervals")
         dense = np.zeros((self.num_intervals, self.num_blocks))
@@ -90,6 +94,8 @@ class BBVProfile:
 
     def weights(self) -> np.ndarray:
         """Fraction of total instructions in each interval."""
+        import numpy as np
+
         lengths = np.asarray(self.interval_lengths, dtype=float)
         return lengths / lengths.sum()
 
@@ -105,6 +111,9 @@ class BBVProfiler:
     def profile(self, program: Program,
                 max_instructions: int | None = None) -> BBVProfile:
         """Run ``program`` to completion and return its BBV profile."""
+        from repro.obs.heartbeat import HeartbeatEmitter, wrap_control_hook
+        from repro.sim.executor import Executor
+
         interval_size = self.interval_size
         block_ids: dict[tuple[int, int], int] = {}
         blocks: list[tuple[int, int]] = []

@@ -11,23 +11,11 @@ bodies.  See DESIGN.md §14 and docs/serve.md.
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.jobs import Job, JobTable
-from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.protocol import JobRequest, request_hash
-from repro.serve.quotas import ClientQuotas, TokenBucket
-from repro.serve.server import JobServer, ServerThread, serve_forever
+from repro.serve.loadgen import run_load
+from repro.serve.quotas import ClientQuotas
 
 __all__ = [
     "ClientQuotas",
-    "Job",
-    "JobRequest",
-    "JobServer",
-    "JobTable",
-    "LoadReport",
     "ServeClient",
-    "ServerThread",
-    "TokenBucket",
-    "request_hash",
     "run_load",
-    "serve_forever",
 ]

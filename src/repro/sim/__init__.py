@@ -1,23 +1,1 @@
 """Functional simulation: memory, architectural state, executor, syscalls."""
-
-from repro.sim.executor import Executor
-from repro.sim.memory import Memory, PAGE_SIZE
-from repro.sim.state import ArchState, MASK64, to_signed, to_unsigned
-from repro.sim.syscalls import SYS_EXIT, SYS_PRINT_INT, SYS_WRITE
-from repro.sim.tracing import RetireTrace, TraceEntry, diff_traces
-
-__all__ = [
-    "Executor",
-    "Memory",
-    "PAGE_SIZE",
-    "ArchState",
-    "MASK64",
-    "to_signed",
-    "to_unsigned",
-    "SYS_EXIT",
-    "SYS_PRINT_INT",
-    "SYS_WRITE",
-    "RetireTrace",
-    "TraceEntry",
-    "diff_traces",
-]

@@ -23,13 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import SimPointError
 from repro.profiling.bbv import BBVProfile
-from repro.simpoint.bic import bic_score, choose_k, DEFAULT_BIC_THRESHOLD
-from repro.simpoint.kmeans import kmeans, KMeansResult
-from repro.simpoint.projection import DEFAULT_DIMENSIONS, project
 
 DEFAULT_MAX_K = 10
 DEFAULT_COVERAGE = 0.9
@@ -56,7 +51,8 @@ class SimPointSelection:
     num_intervals: int
     total_instructions: int
     bic_scores: dict[int, float] = field(default_factory=dict)
-    labels: np.ndarray | None = None
+    #: cluster of each interval
+    labels: tuple[int, ...] | None = None
     coverage_target: float = DEFAULT_COVERAGE
 
     def top_points(self, coverage: float | None = None) -> list[SimPoint]:
@@ -87,11 +83,28 @@ class SimPointSelection:
 
 def select_simpoints(profile: BBVProfile,
                      max_k: int = DEFAULT_MAX_K,
-                     dimensions: int = DEFAULT_DIMENSIONS,
+                     dimensions: int | None = None,
                      seed: int = 0,
-                     bic_threshold: float = DEFAULT_BIC_THRESHOLD,
+                     bic_threshold: float | None = None,
                      coverage: float = DEFAULT_COVERAGE) -> SimPointSelection:
-    """Run the full SimPoint analysis over a BBV profile."""
+    """Run the full SimPoint analysis over a BBV profile.
+
+    ``dimensions`` and ``bic_threshold`` default to
+    :data:`~repro.simpoint.projection.DEFAULT_DIMENSIONS` and
+    :data:`~repro.simpoint.bic.DEFAULT_BIC_THRESHOLD`.  The clustering
+    stack is imported here, not at module level, so reading a stored
+    selection loads no numpy.
+    """
+    import numpy as np
+
+    from repro.simpoint.bic import bic_score, choose_k, DEFAULT_BIC_THRESHOLD
+    from repro.simpoint.kmeans import kmeans, KMeansResult
+    from repro.simpoint.projection import DEFAULT_DIMENSIONS, project
+
+    if dimensions is None:
+        dimensions = DEFAULT_DIMENSIONS
+    if bic_threshold is None:
+        bic_threshold = DEFAULT_BIC_THRESHOLD
     if profile.num_intervals == 0:
         raise SimPointError("profile has no intervals")
     matrix = profile.matrix(normalize=True)
@@ -130,5 +143,7 @@ def select_simpoints(profile: BBVProfile,
                              interval_size=profile.interval_size,
                              num_intervals=profile.num_intervals,
                              total_instructions=profile.total_instructions,
-                             bic_scores=scores, labels=best.labels,
+                             bic_scores=scores,
+                             labels=tuple(int(label)
+                                          for label in best.labels),
                              coverage_target=coverage)

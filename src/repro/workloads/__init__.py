@@ -3,17 +3,13 @@
 from repro.workloads.suite import (
     build_program,
     get_workload,
-    register_workload,
     REPRODUCTION_SCALE,
     workload_names,
-    WorkloadSpec,
 )
 
 __all__ = [
     "build_program",
     "get_workload",
-    "register_workload",
     "REPRODUCTION_SCALE",
     "workload_names",
-    "WorkloadSpec",
 ]

@@ -12,7 +12,8 @@ import threading
 
 import pytest
 
-from repro.serve import ClientQuotas, ServeClient, ServerThread, run_load
+from repro.serve import ClientQuotas, ServeClient, run_load
+from repro.serve.server import ServerThread
 
 REQUEST = {"kind": "sweep", "scale": 0.05, "workloads": ["sha"],
            "configs": ["SmallBOOM"]}

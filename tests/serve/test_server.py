@@ -9,7 +9,8 @@ import json
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import ClientQuotas, ServeClient, ServerThread
+from repro.serve import ClientQuotas, ServeClient
+from repro.serve.server import ServerThread
 
 TINY = {"kind": "sweep", "scale": 0.05, "workloads": ["sha"],
         "configs": ["SmallBOOM"]}
