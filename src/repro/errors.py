@@ -202,15 +202,6 @@ class SchedulerError(ReproError):
     """Supervised sweep scheduler misuse or unrecoverable breakdown."""
 
 
-class TaskTimeoutError(SchedulerError):
-    """A scheduled task exceeded its per-task wall-clock budget."""
-
-    def __init__(self, key: str, timeout: float) -> None:
-        self.key = key
-        self.timeout = timeout
-        super().__init__(f"task {key!r} exceeded {timeout:g}s timeout")
-
-
 class SweepAborted(SchedulerError):
     """The sweep stopped early (``--fail-fast`` after a permanent failure)."""
 

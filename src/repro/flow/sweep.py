@@ -26,8 +26,10 @@ capped exponential backoff, hung tasks are abandoned after a per-task
 timeout, and deterministic model failures are recorded in the manifest
 while the rest of the sweep completes.  Results persist incrementally,
 so a killed sweep resumes from its last completed experiment
-(``repro-cli sweep --resume``); sweep progress is tracked in
-``<cache>/sweep_state.json``.
+(``repro-cli sweep --resume``).  The artifact store is the record of
+finished pairs; ``<cache>/sweep_state.json`` carries the sweep's status
+and failures, and is written only when the sweep starts, when it
+records a failure, and when it ends.
 
 Each ``run_all`` produces a :class:`~repro.pipeline.manifest.RunManifest`
 (``SweepRunner.last_manifest``) with per-stage execution counts, cache
@@ -43,7 +45,7 @@ import json
 import logging
 from pathlib import Path
 from time import perf_counter, sleep as _sleep
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import (
     PERMANENT,
@@ -63,8 +65,6 @@ from repro.flow.scheduler import (
     Task,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.progress import ProgressMonitor
-from repro.obs.render import worker_utilization
 from repro.obs.session import TraceSession
 from repro.obs.tracer import tracing_requested
 from repro.pipeline.artifacts import (
@@ -75,9 +75,12 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.faults import FaultInjector
 from repro.pipeline.locking import FileLock, owner_token, release_held
 from repro.pipeline.manifest import RunManifest, TaskRecord
-from repro.pipeline.stages import ExperimentPipeline
+from repro.pipeline.stages import RESULT_STAGE, ExperimentPipeline
 from repro.uarch.config import ALL_CONFIGS, BoomConfig
 from repro.workloads.suite import workload_names
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressMonitor
 
 __all__ = ["DEFAULT_CACHE_DIR", "MODEL_VERSION", "SweepRunner",
            "MANIFEST_NAME", "SWEEP_STATE_NAME"]
@@ -469,6 +472,8 @@ class SweepRunner:
         self.obs_run_dir = session.run_dir
         monitor = None
         if progress:
+            from repro.obs.progress import ProgressMonitor
+
             monitor = ProgressMonitor(session.run_dir).start()
         return session, monitor
 
@@ -488,6 +493,8 @@ class SweepRunner:
         registry = get_metrics()
         registry.gauge("cache.hit_rate").set(manifest.hit_rate)
         if session is not None and session.trace_path is not None:
+            from repro.obs.render import worker_utilization
+
             try:
                 trace = json.loads(session.trace_path.read_text())
                 for pid, fraction in worker_utilization(trace).items():
@@ -542,9 +549,10 @@ class SweepRunner:
                 outcome.retries[key] = retries
             if record is None:
                 results[(workload, config.name)] = result
-                self._record_completion(key)
+                self._state["completed"].append(key)
                 continue
             outcome.failures.append(record)
+            self._record_failures(outcome)
             if fail_fast:
                 outcome.aborted = True
                 outcome.failures.extend(_unrun(
@@ -567,7 +575,7 @@ class SweepRunner:
             cached = pipeline.peek_result(workload, config)
             if cached is not None:
                 results[(workload, config.name)] = cached
-                self._record_completion(_pair_key(workload, config))
+                self._state["completed"].append(_pair_key(workload, config))
             else:
                 pending.append((workload, config))
         if not pending:
@@ -604,6 +612,7 @@ class SweepRunner:
              for workload in needed],
             on_result=adopt_prepared)
         outcome.absorb(prepare_wave)
+        self._record_failures(outcome)
 
         # a workload whose shared stages permanently failed poisons all
         # of its experiments: record them as skipped instead of letting
@@ -668,7 +677,7 @@ class SweepRunner:
                 result = ExperimentResult.from_dict(done)
                 pipeline.adopt_result(workload, config, result)
                 results[(workload, config.name)] = result
-                self._record_completion(key)
+                self._state["completed"].append(key)
             return records
 
         todo = groups
@@ -682,6 +691,7 @@ class SweepRunner:
             todo = _split_failed(wave, groups, results)
             groups.update(todo)
             outcome.absorb(wave)
+            self._record_failures(outcome)
 
     # ------------------------------------------------------------------
     # sweep state (incremental progress + resume)
@@ -742,7 +752,11 @@ class SweepRunner:
         if state is None:
             logger.info("no resumable sweep state; starting fresh")
             return pairs
-        self.resumed_completed = len(state.get("completed", []))
+        store, pipeline = self.store, self.pipeline
+        self.resumed_completed = sum(
+            store.has(RESULT_STAGE,
+                      pipeline.result_fingerprint(workload, config))
+            for workload, config in pairs)
         carried = {record["key"]: record
                    for record in state.get("failures", [])
                    if record.get("kind") == PERMANENT}
@@ -761,45 +775,41 @@ class SweepRunner:
                     attempts=record.get("attempts", 1)))
         return remaining
 
-    def _record_completion(self, key: str) -> None:
-        state = getattr(self, "_state", None)
-        if state is None:
+    def _record_failures(self, outcome: ScheduleOutcome) -> None:
+        """Persist failures the state file does not hold yet, so a
+        permanent one is on disk (for ``--resume``) before the next pair
+        starts, even if the sweep is then killed."""
+        if len(outcome.failures) == len(self._state["failures"]):
             return
-        if key not in state["completed"]:
-            state["completed"].append(key)
+        self._state["failures"] = [record.to_dict()
+                                   for record in outcome.failures]
         self._write_state()
 
     def _write_state(self) -> None:
-        """Persist sweep progress with a locked read-modify-write merge.
+        """Persist the sweep state with a locked read-modify-write merge.
 
         Concurrent sweeps over the same cache each rewrite the shared
         ``sweep_state.json``; without the lock-and-merge, whichever
-        process wrote last would erase the other's ``completed`` keys
-        and ``--resume`` would silently redo (or worse, mis-carry) work.
-        Under the lock, completions from a concurrent run of the *same*
-        sweep are folded in; a state file from a different sweep is
-        simply replaced.
+        process wrote last would erase the other's ``failures`` and
+        ``--resume`` would silently redo (or worse, mis-carry) work.
+        Under the lock, the completions and failures of a concurrent run
+        of the *same* sweep are folded into what is written; a state
+        file from a different sweep is simply replaced.
         """
         path = self._state_path()
         if path is None:
             return
-        lock = path.with_name(path.name + ".lock")
-        with FileLock(lock):
-            prior = self._load_state(self._state["sweep_id"])
+        state = dict(self._state)
+        with FileLock(path.with_name(path.name + ".lock")):
+            prior = self._load_state(state["sweep_id"])
             if prior is not None:
-                merged = list(self._state["completed"])
-                known = set(merged)
-                for key in prior.get("completed", []):
-                    if key not in known:
-                        known.add(key)
-                        merged.append(key)
-                self._state["completed"] = merged
-                ours = {record["key"]
-                        for record in self._state["failures"]}
-                for record in prior.get("failures", []):
-                    if record.get("key") not in ours:
-                        self._state["failures"].append(record)
-            atomic_write_text(path, json.dumps(self._state, indent=2,
+                state["completed"] = list(dict.fromkeys(
+                    state["completed"] + prior.get("completed", [])))
+                ours = {record["key"] for record in state["failures"]}
+                state["failures"] = state["failures"] + [
+                    record for record in prior.get("failures", [])
+                    if record.get("key") not in ours]
+            atomic_write_text(path, json.dumps(state, indent=2,
                                                sort_keys=True))
 
     # ------------------------------------------------------------------

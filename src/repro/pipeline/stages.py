@@ -398,10 +398,12 @@ class ExperimentPipeline:
         #: program identity.  Fingerprints never include the program, so
         #: cached artifacts are unaffected.
         self._programs: dict[str, Any] = {}
-        #: config -> ``asdict(config)``, the detailed fingerprint's
-        #: config parameters; a recursive copy of the whole config tree,
-        #: so it is made once per config, not once per fingerprint
-        self._config_params: dict[BoomConfig, dict] = {}
+        #: (stage, workload, config) -> fingerprint.  Each fingerprint
+        #: chains its upstream ones, so without the memo a pair's
+        #: result fingerprint rebuilds the whole chain (and ``asdict``
+        #: of the config tree) every time; settings and configs are
+        #: frozen, so a memoized digest cannot go stale.
+        self._fingerprints: dict[tuple, str] = {}
 
     def program(self, workload: str):
         """The assembled :class:`Program` for ``workload`` (memoized)."""
@@ -415,20 +417,30 @@ class ExperimentPipeline:
 
     # -------------------------- fingerprints --------------------------
 
+    def _fingerprint(self, stage: str, workload: str,
+                     config: BoomConfig | None, params) -> str:
+        """Memoized :meth:`ArtifactStore.fingerprint`; ``params`` builds
+        the stage's parameter mapping on a miss."""
+        key = (stage, workload, config)
+        digest = self._fingerprints.get(key)
+        if digest is None:
+            digest = self._fingerprints[key] = self.store.fingerprint(
+                stage, params())
+        return digest
+
     def profile_fingerprint(self, workload: str) -> str:
         settings = self.settings
-        interval = get_workload(workload).interval_for_scale(settings.scale)
-        return self.store.fingerprint(PROFILE_STAGE, {
+        return self._fingerprint(PROFILE_STAGE, workload, None, lambda: {
             "workload": workload,
             "scale": settings.scale,
             "seed": settings.seed,
-            "interval": interval,
+            "interval": self._interval(workload),
             "model": MODEL_VERSION,
         })
 
     def selection_fingerprint(self, workload: str) -> str:
         settings = self.settings
-        return self.store.fingerprint(SELECTION_STAGE, {
+        return self._fingerprint(SELECTION_STAGE, workload, None, lambda: {
             "profile": self.profile_fingerprint(workload),
             "max_k": settings.max_k,
             "bic_threshold": settings.bic_threshold,
@@ -438,7 +450,7 @@ class ExperimentPipeline:
         })
 
     def checkpoint_fingerprint(self, workload: str) -> str:
-        return self.store.fingerprint(CHECKPOINT_STAGE, {
+        return self._fingerprint(CHECKPOINT_STAGE, workload, None, lambda: {
             "selection": self.selection_fingerprint(workload),
             "warmup": self.settings.scaled_warmup(),
             "model": MODEL_VERSION,
@@ -446,23 +458,20 @@ class ExperimentPipeline:
 
     def detailed_fingerprint(self, workload: str,
                              config: BoomConfig) -> str:
-        params = self._config_params.get(config)
-        if params is None:
-            params = self._config_params[config] = asdict(config)
-        return self.store.fingerprint(DETAILED_STAGE, {
+        return self._fingerprint(DETAILED_STAGE, workload, config, lambda: {
             "checkpoints": self.checkpoint_fingerprint(workload),
-            "config": params,
+            "config": asdict(config),
             "model": MODEL_VERSION,
         })
 
     def power_fingerprint(self, workload: str, config: BoomConfig) -> str:
-        return self.store.fingerprint(POWER_STAGE, {
+        return self._fingerprint(POWER_STAGE, workload, config, lambda: {
             "detailed": self.detailed_fingerprint(workload, config),
             "model": MODEL_VERSION,
         })
 
     def result_fingerprint(self, workload: str, config: BoomConfig) -> str:
-        return self.store.fingerprint(RESULT_STAGE, {
+        return self._fingerprint(RESULT_STAGE, workload, config, lambda: {
             "power": self.power_fingerprint(workload, config),
             "model": MODEL_VERSION,
         })

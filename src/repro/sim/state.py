@@ -22,11 +22,6 @@ def to_signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-def to_unsigned(value: int) -> int:
-    """Wrap a Python integer into the unsigned 64-bit domain."""
-    return value & MASK64
-
-
 class ArchState:
     """Complete architectural state: registers, pc, memory, exit status."""
 
@@ -66,21 +61,9 @@ class ArchState:
     def read_x(self, index: int) -> int:
         return self.x[index]
 
-    def write_x(self, index: int, value: int) -> None:
-        """Write an integer register; writes to ``x0`` are discarded."""
-        if index:
-            self.x[index] = value & MASK64
-
     def require_not_exited(self) -> None:
         if self.exited:
             raise SimulationError("hart has exited; cannot continue")
-
-    def copy_registers_from(self, other: "ArchState") -> None:
-        """Copy registers/pc/fcsr (not memory) from ``other``."""
-        self.x = list(other.x)
-        self.f = list(other.f)
-        self.pc = other.pc
-        self.fcsr = other.fcsr
 
     def __repr__(self) -> str:
         return (f"ArchState(pc=0x{self.pc:x}, retired={self.retired}, "

@@ -1,17 +1,34 @@
-"""Workload generator modules; importing this package registers all specs.
+"""Workload generator modules: one assembly builder per Table II row.
 
-Import order matches Table II of the paper.
+Only building a program needs them; the Table II metadata is a static
+table in :mod:`repro.workloads.suite`, so reading results never imports
+this package.
 """
 
-from repro.workloads.generators import (  # noqa: F401
+from repro.workloads.generators import (
     basicmath,
-    stringsearch,
-    fft,
     bitcount,
-    qsort,
     dijkstra,
-    patricia,
+    fft,
     matmult,
+    patricia,
+    qsort,
     sha,
+    stringsearch,
     tarfind,
 )
+
+#: workload name -> ``builder(scale, seed)`` returning assembly source
+BUILDERS = {
+    "basicmath": basicmath.build,
+    "stringsearch": stringsearch.build,
+    "fft": fft.build_fft,
+    "ifft": fft.build_ifft,
+    "bitcount": bitcount.build,
+    "qsort": qsort.build,
+    "dijkstra": dijkstra.build,
+    "patricia": patricia.build,
+    "matmult": matmult.build,
+    "sha": sha.build,
+    "tarfind": tarfind.build,
+}

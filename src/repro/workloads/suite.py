@@ -4,8 +4,10 @@ Each of the eleven benchmarks from MiBench and Embench is re-implemented
 as a RISC-V assembly generator with the behavioural signature the paper's
 analysis depends on (see DESIGN.md §1).  A :class:`WorkloadSpec` carries
 the Table II metadata — suite, SimPoint interval size, paper dynamic
-instruction count, and paper SimPoint count — plus the builder that
-produces assembly for a given ``scale``.
+instruction count, and paper SimPoint count; the table is static data,
+so reading it imports no generator.  ``spec.builder`` resolves the
+generator (in :mod:`repro.workloads.generators`) that produces assembly
+for a given ``scale``.
 
 ``scale=1.0`` targets the paper's instruction counts divided by 1000 (the
 documented reproduction scale); smaller scales produce miniature versions
@@ -26,7 +28,6 @@ from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ReproError
-from repro.isa.assembler import assemble
 from repro.isa.program import Program
 
 #: The paper runs everything at 1M-instruction SimPoint intervals (2M for
@@ -38,7 +39,7 @@ BuilderFn = Callable[[float, int], str]
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Metadata and builder for one benchmark (one Table II row)."""
+    """Metadata for one benchmark (one Table II row)."""
 
     name: str
     suite: str
@@ -48,8 +49,14 @@ class WorkloadSpec:
     paper_instructions: int
     #: number of top-ranked SimPoints used in the paper
     paper_simpoints: int
-    builder: BuilderFn
     description: str
+
+    @property
+    def builder(self) -> BuilderFn:
+        """The generator producing this workload's assembly source."""
+        from repro.workloads.generators import BUILDERS
+
+        return BUILDERS[self.name]
 
     def target_instructions(self, scale: float = 1.0) -> int:
         """Expected dynamic instructions at ``scale`` (approximate)."""
@@ -60,35 +67,68 @@ class WorkloadSpec:
         return max(200, int(self.interval_size * scale))
 
 
-_REGISTRY: dict[str, WorkloadSpec] = {}
+#: Table II, in the paper's order
+_SPECS = (
+    WorkloadSpec(
+        "basicmath", "MiBench", 1000, 364_758_047, 2,
+        "Integer square roots, fixed-point cube roots, and angle "
+        "conversions: divider visits between polynomial ALU work."),
+    WorkloadSpec(
+        "stringsearch", "MiBench", 1000, 136_360_766, 2,
+        "Horspool multi-pattern text search: byte-load heavy with "
+        "data-dependent skips; memory-issue-unit hotspot."),
+    WorkloadSpec(
+        "fft", "MiBench", 1000, 266_217_322, 1,
+        "Iterative radix-2 complex FFT: the floating-point "
+        "pipeline and FP-register-file anchor of the suite."),
+    WorkloadSpec(
+        "ifft", "MiBench", 1000, 266_643_273, 1,
+        "Inverse FFT with 1/N normalization: FP-heavy, slightly "
+        "longer than the forward transform."),
+    WorkloadSpec(
+        "bitcount", "MiBench", 1000, 495_204_057, 3,
+        "Three bit-counting kernels: data-dependent loop, "
+        "branch-free SWAR, and table lookups (three phases)."),
+    WorkloadSpec(
+        "qsort", "MiBench", 1000, 22_868_929, 1,
+        "Iterative quicksort over doubles: FP compares with "
+        "data-dependent branches; the shortest benchmark."),
+    WorkloadSpec(
+        "dijkstra", "MiBench", 1000, 227_879_044, 1,
+        "O(V^2) Dijkstra on a dense adjacency matrix: dependent "
+        "load/compare chains; integer-issue-queue hotspot."),
+    WorkloadSpec(
+        "patricia", "MiBench", 2000, 154_589_629, 2,
+        "Radix-trie build and query over 16-bit keys: pure "
+        "pointer chasing; load-to-use latency bound."),
+    WorkloadSpec(
+        "matmult", "Embench", 1000, 516_885_284, 1,
+        "Integer matrix multiply: streaming plus strided loads, "
+        "the suite's data-cache hotspot."),
+    WorkloadSpec(
+        "sha", "MiBench", 1000, 111_029_722, 3,
+        "Four-lane interleaved hash rounds: the suite's ILP and "
+        "IPC ceiling; stresses the integer register file."),
+    WorkloadSpec(
+        "tarfind", "Embench", 2000, 1_220_430_895, 1,
+        "Tar-archive scan: octal parsing, name matching, and a "
+        "branch-per-byte checksum; the suite's IPC floor."),
+)
 
-
-def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
-    """Add ``spec`` to the global registry (used by generator modules)."""
-    if spec.name in _REGISTRY:
-        raise ReproError(f"workload {spec.name!r} registered twice")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def _ensure_loaded() -> None:
-    # Generator modules self-register on import.
-    from repro.workloads import generators  # noqa: F401
+_BY_NAME = {spec.name: spec for spec in _SPECS}
 
 
 def workload_names() -> list[str]:
-    """All registered workload names, in Table II order."""
-    _ensure_loaded()
-    return list(_REGISTRY)
+    """All workload names, in Table II order."""
+    return list(_BY_NAME)
 
 
 def get_workload(name: str) -> WorkloadSpec:
     """Look up one workload spec by name."""
-    _ensure_loaded()
     try:
-        return _REGISTRY[name]
+        return _BY_NAME[name]
     except KeyError:
-        known = ", ".join(_REGISTRY)
+        known = ", ".join(_BY_NAME)
         raise ReproError(
             f"unknown workload {name!r} (known: {known})") from None
 
@@ -101,6 +141,7 @@ def build_program(name: str, scale: float = 1.0, seed: int = 7) -> Program:
     the same :class:`Program` object, which the simulators treat as
     immutable.
     """
-    spec = get_workload(name)
-    source = spec.builder(scale, seed)
+    from repro.isa.assembler import assemble
+
+    source = get_workload(name).builder(scale, seed)
     return assemble(source, name=f"{name}@{scale:g}")

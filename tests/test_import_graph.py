@@ -3,8 +3,10 @@
 ``repro-cli`` start-up and a report served from a filled store must not
 import the compute stack: numpy, the functional executor, the detailed
 core, k-means, the checkpoint creator, the invariant checker, the job
-server or a process pool.  Each check runs in a fresh interpreter, so
-nothing this test process imported leaks into the answer.
+server or a process pool.  Nor may a warm report import build-side code
+(the workload generators, the assembler) or the trace-only renderers.
+Each check runs in a fresh interpreter, so nothing this test process
+imported leaks into the answer.
 """
 
 from __future__ import annotations
@@ -38,12 +40,24 @@ COMPUTE_MODULES = (
     "repro.serve.server",
 )
 
+#: build-side and trace-only modules (with their submodules)
+BUILD_AND_TRACE_MODULES = (
+    "repro.workloads.generators",
+    "repro.isa.assembler",
+    "repro.obs.render",
+    "repro.obs.progress",
+)
 
-def _loaded_after(code: str) -> list[str]:
-    """The compute modules a fresh interpreter holds after ``code``."""
+
+def _loaded_after(code: str, modules=COMPUTE_MODULES, then: str = "") \
+        -> list[str]:
+    """Which of ``modules`` (or their submodules) a fresh interpreter
+    holds after ``code``; ``then`` runs after the check."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([name for name in {COMPUTE_MODULES!r} "
-             f"if name in sys.modules]))")
+             f"loaded = [name for name in {modules!r} if any("
+             f"module == name or module.startswith(name + '.') "
+             f"for module in sys.modules)]\n{then}\n"
+             f"print(json.dumps(loaded))")
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -77,7 +91,13 @@ assert "Table II" in report
 misses = sum(stats.misses for stats in runner.store.stats().values())
 assert misses == 0, misses
 """
-    assert _loaded_after(code) == []
+    # a cold build still works in the same interpreter afterwards
+    build = """
+from repro.workloads import build_program
+assert build_program("sha", scale=0.05).instructions
+"""
+    assert _loaded_after(code, COMPUTE_MODULES + BUILD_AND_TRACE_MODULES,
+                         then=build) == []
 
 
 def test_config_module_does_not_load_the_core():

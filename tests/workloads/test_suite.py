@@ -1,4 +1,4 @@
-"""Tests for the workload registry and Table II metadata."""
+"""Tests for the workload suite and Table II metadata."""
 
 import pytest
 
@@ -28,6 +28,12 @@ TABLE_II = {
 
 def test_all_eleven_workloads_registered():
     assert set(workload_names()) == set(TABLE_II)
+
+
+def test_every_table_ii_row_has_one_builder():
+    from repro.workloads.generators import BUILDERS
+
+    assert list(BUILDERS) == workload_names()
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_II))
